@@ -144,6 +144,32 @@ class BaselineCountersSpec extends AnyFunSuite {
     assert(wrs.reservoirSize <= 30)
   }
 
+  // Fixed-seed checkpoints of (estimate, sampleSize, waitingRoomSize,
+  // reservoirSize) on dynamic streams with evictions and compensation. Any
+  // change to membership, RNG draws or summation order shows up here.
+  private def wrsTrace(pattern: Pattern, events: Array[EdgeEvent], m: Int, seed: Long): Seq[(Double, Int, Int, Int)] = {
+    val wrs = new WRS(pattern, m, seed)
+    events.indices.flatMap { i =>
+      wrs.process(events(i))
+      if ((i + 1) % 200 == 0) Some((wrs.estimate, wrs.sampleSize, wrs.waitingRoomSize, wrs.reservoirSize))
+      else None
+    }
+  }
+
+  test("WRS golden trace (triangles, with deletions)") {
+    val events = TestUtil.randomEvents(nVertices = 20, steps = 1200, seed = 21, deleteBias = 0.35)
+    assert(wrsTrace(Triangle, events, m = 25, seed = 4) == Seq(
+      (26.00790513833992, 25, 2, 23), (50.11462450592886, 23, 2, 21), (62.49011857707508, 24, 2, 22),
+      (134.23320158102769, 25, 2, 23), (38.6324110671937, 20, 2, 18), (48.30434782608694, 18, 2, 16)))
+  }
+
+  test("WRS golden trace (wedges, with deletions)") {
+    val events = TestUtil.randomEvents(nVertices = 25, steps = 1200, seed = 22, deleteBias = 0.35)
+    assert(wrsTrace(Wedge, events, m = 30, seed = 6) == Seq(
+      (136.62962962962962, 29, 3, 26), (670.3703703703704, 30, 3, 27), (760.2592592592582, 30, 3, 27),
+      (925.8148148148144, 30, 3, 27), (1150.4074074074074, 26, 3, 23), (1272.888888888885, 28, 3, 25)))
+  }
+
   test("WRS rejects degenerate lambda") {
     intercept[IllegalArgumentException](new WRS(Triangle, 10, 1, lambda = 0.0))
     intercept[IllegalArgumentException](new WRS(Triangle, 10, 1, lambda = 1.0))
