@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{Adjacency, Edge, Rng}
+import repro.core.{Edge, Rng}
 
 /** Random Pairing (Gemulla et al., VLDB'06) — the uniform fully-dynamic
   * reservoir all three baselines (Triest / ThinkD / WRS) build on.
@@ -14,7 +14,8 @@ import repro.core.{Adjacency, Edge, Rng}
   * sampling over the live population.
   */
 final class RPSampler(val capacity: Int, rng: Rng) extends Serializable {
-  val adj = new Adjacency
+  import RPSampler.InsertOutcome
+
   private val keys = mutable.ArrayBuffer.empty[Long]
   private val idx  = mutable.HashMap.empty[Long, Int]
 
@@ -27,57 +28,55 @@ final class RPSampler(val capacity: Int, rng: Rng) extends Serializable {
   def contains(key: Long): Boolean = idx.contains(key)
   def sampledKeys: Iterator[Long] = keys.iterator
 
-  /** What an insertion did to the sample (for counter maintenance). */
-  final case class InsertOutcome(added: Boolean, evicted: Long) {
-    def hasEviction: Boolean = evicted != RPSampler.NoEdge
-  }
-
   /** Process an insertion; `population` is the live-edge count *including*
-    * the new edge. Eviction (if any) is reported so callers can decrement
-    * their counters before the slot is reused.
+    * the new edge. The sampler keeps only membership: the outcome says
+    * whether the edge entered and which sampled edge (if any) it replaced,
+    * so callers can update the graph view they enumerate over.
     */
-  def insert(u: Int, v: Int, population: Long)(onEvict: Long => Unit): InsertOutcome = {
+  def insert(u: Int, v: Int, population: Long): InsertOutcome = {
     val key = Edge.key(u, v)
     if (nb + ng > 0) {
-      if (rng.nextDouble() * (nb + ng) < nb) { nb -= 1; add(key, u, v); InsertOutcome(added = true, RPSampler.NoEdge) }
-      else { ng -= 1; InsertOutcome(added = false, RPSampler.NoEdge) }
+      if (rng.nextDouble() * (nb + ng) < nb) { nb -= 1; add(key); RPSampler.Added }
+      else { ng -= 1; RPSampler.Rejected }
     } else if (keys.length < capacity) {
-      add(key, u, v); InsertOutcome(added = true, RPSampler.NoEdge)
+      add(key); RPSampler.Added
     } else if (population > 0 && rng.nextDouble() * population < capacity) {
       val victim = keys(rng.nextInt(keys.length))
-      onEvict(victim)
       removeKey(victim)
-      add(key, u, v)
+      add(key)
       InsertOutcome(added = true, victim)
-    } else InsertOutcome(added = false, RPSampler.NoEdge)
+    } else RPSampler.Rejected
   }
 
-  /** Process a deletion; returns true iff the edge was sampled (caller must
-    * update its counters *before* calling, while the edge is still present).
-    */
+  /** Process a deletion; returns true iff the edge was sampled. */
   def delete(u: Int, v: Int): Boolean = {
     val key = Edge.key(u, v)
     if (idx.contains(key)) { removeKey(key); nb += 1; true }
     else { ng += 1; false }
   }
 
-  private def add(key: Long, u: Int, v: Int): Unit = {
+  private def add(key: Long): Unit = {
     idx(key) = keys.length
     keys += key
-    adj.add(u, v)
   }
 
   private def removeKey(key: Long): Unit = {
     val i = idx.remove(key).get
     val last = keys.remove(keys.length - 1)
     if (i < keys.length) { keys(i) = last; idx(last) = i }
-    adj.remove(Edge.u(key), Edge.v(key))
   }
 }
 
 object RPSampler {
   /** Sentinel for "no eviction happened". */
   val NoEdge: Long = -1L
+
+  /** What an insertion did to the sample. */
+  final case class InsertOutcome(added: Boolean, evicted: Long) {
+    def hasEviction: Boolean = evicted != NoEdge
+  }
+  private val Added    = InsertOutcome(added = true, NoEdge)
+  private val Rejected = InsertOutcome(added = false, NoEdge)
 
   /** Joint inclusion probability of `k` distinct live edges in an RP sample
     * of capacity `cap` over `population` live edges with `d` uncompensated

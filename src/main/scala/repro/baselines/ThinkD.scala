@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{EdgeEvent, Pattern, Rng, SubgraphCounter}
+import repro.core.{Adjacency, Edge, EdgeEvent, Pattern, Rng, SubgraphCounter}
 
 /** ThinkD (ACC variant; Shin et al., ECML-PKDD'18 / TKDD'20) generalised to
   * the paper's three patterns.
@@ -17,6 +17,7 @@ final class ThinkD(val pattern: Pattern, val M: Int, seed: Long)
 
   private val rng = new Rng(seed)
   private val rp  = new RPSampler(M, rng)
+  private val adj = new Adjacency // the sampled edges
   private var c = 0.0
   private var nEdges = 0L
 
@@ -28,15 +29,17 @@ final class ThinkD(val pattern: Pattern, val M: Int, seed: Long)
     // population of the *other* edges: live edges excluding the event's edge
     val population = if (ev.insert) nEdges else nEdges - 1
     val p = RPSampler.jointProb(pattern.size - 1, M, population, rp.uncompensated)
-    val n = pattern.countInstances(rp.adj, ev.u, ev.v)
+    val n = pattern.countInstances(adj, ev.u, ev.v)
     if (p > 0) {
       if (ev.insert) c += n / p else c -= n / p
     }
     if (ev.insert) {
       nEdges += 1
-      rp.insert(ev.u, ev.v, nEdges)(_ => ())
+      val out = rp.insert(ev.u, ev.v, nEdges)
+      if (out.hasEviction) adj.remove(Edge.u(out.evicted), Edge.v(out.evicted))
+      if (out.added) adj.add(ev.u, ev.v)
     } else {
-      rp.delete(ev.u, ev.v)
+      if (rp.delete(ev.u, ev.v)) adj.remove(ev.u, ev.v)
       nEdges -= 1
     }
   }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{EdgeEvent, Pattern, Rng, SubgraphCounter}
+import repro.core.{Adjacency, Edge, EdgeEvent, Pattern, Rng, SubgraphCounter}
 
 /** Triest-FD (De Stefani et al., TKDD'17) generalised to the paper's three
   * patterns.
@@ -17,6 +17,7 @@ final class Triest(val pattern: Pattern, val M: Int, seed: Long)
 
   private val rng = new Rng(seed)
   private val rp  = new RPSampler(M, rng)
+  private val adj = new Adjacency // the sampled edges
   private var tau = 0L
   private var nEdges = 0L
 
@@ -31,17 +32,21 @@ final class Triest(val pattern: Pattern, val M: Int, seed: Long)
   override def process(ev: EdgeEvent): Unit =
     if (ev.insert) {
       nEdges += 1
-      val out = rp.insert(ev.u, ev.v, nEdges) { victim =>
-        // victim still sampled here — subtract instances it participates in
-        tau -= pattern.countInstances(rp.adj, repro.core.Edge.u(victim), repro.core.Edge.v(victim))
+      val out = rp.insert(ev.u, ev.v, nEdges)
+      if (out.hasEviction) {
+        // victim still in adj here — subtract instances it participates in
+        val (a, b) = (Edge.u(out.evicted), Edge.v(out.evicted))
+        tau -= pattern.countInstances(adj, a, b)
+        adj.remove(a, b)
       }
-      // after insertion the new edge is in adj; enumeration skips it, so this
-      // counts exactly the instances it closes within the sample
-      if (out.added) tau += pattern.countInstances(rp.adj, ev.u, ev.v)
+      // enumeration skips the new edge itself, so this counts exactly the
+      // instances it closes within the sample
+      if (out.added) { adj.add(ev.u, ev.v); tau += pattern.countInstances(adj, ev.u, ev.v) }
     } else {
-      if (rp.contains(repro.core.Edge.key(ev.u, ev.v)))
-        tau -= pattern.countInstances(rp.adj, ev.u, ev.v)
-      rp.delete(ev.u, ev.v)
+      if (rp.delete(ev.u, ev.v)) {
+        tau -= pattern.countInstances(adj, ev.u, ev.v)
+        adj.remove(ev.u, ev.v)
+      }
       nEdges -= 1
     }
 }

@@ -11,7 +11,9 @@ import repro.core.{Adjacency, Edge, EdgeEvent, Pattern, Rng, SubgraphCounter}
   * random-pairing reservoir over the older edges. Estimation is
   * ThinkD-style (update before sample): each closed instance contributes
   * the inverse joint inclusion probability of its reservoir-resident edges
-  * only — waiting-room edges are certain.
+  * only — waiting-room edges are certain. Membership of the reservoir is
+  * `RPSampler`'s; this class keeps the waiting room and the one adjacency
+  * over both that the estimator enumerates.
   */
 final class WRS(val pattern: Pattern, val M: Int, seed: Long, lambda: Double = 0.1)
     extends SubgraphCounter with Serializable {
@@ -19,29 +21,22 @@ final class WRS(val pattern: Pattern, val M: Int, seed: Long, lambda: Double = 0
   require(lambda > 0 && lambda < 1, s"lambda must be in (0,1), got $lambda")
 
   private val wCap = math.max(1, (lambda * M).toInt)
-  private val rCap = M - wCap
 
-  private val rng = new Rng(seed)
+  private val rp  = new RPSampler(M - wCap, new Rng(seed)) // older edges
   private val adj = new Adjacency // waiting room ∪ reservoir
 
   // waiting room: FIFO with lazy deletion
   private val wQueue = mutable.ArrayDeque.empty[Long]
   private val wSet   = mutable.HashSet.empty[Long]
 
-  // reservoir with O(1) uniform eviction
-  private val rKeys = mutable.ArrayBuffer.empty[Long]
-  private val rIdx  = mutable.HashMap.empty[Long, Int]
-  private var nb = 0L
-  private var ng = 0L
-
   private var c = 0.0
   private var nEdges = 0L
 
   override val name = "WRS"
-  override def sampleSize: Int = wSet.size + rKeys.length
+  override def sampleSize: Int = wSet.size + rp.size
   override def estimate: Double = c
   def waitingRoomSize: Int = wSet.size
-  def reservoirSize: Int = rKeys.length
+  def reservoirSize: Int = rp.size
 
   override def process(ev: EdgeEvent): Unit = {
     // estimator first, over the current sample (waiting room ∪ reservoir)
@@ -51,7 +46,7 @@ final class WRS(val pattern: Pattern, val M: Int, seed: Long, lambda: Double = 0
       var kR = 0
       var i = 0
       while (i < others.length) { if (!wSet.contains(others(i))) kR += 1; i += 1 }
-      val p = RPSampler.jointProb(kR, rCap, reservoirPop, nb + ng)
+      val p = RPSampler.jointProb(kR, rp.capacity, reservoirPop, rp.uncompensated)
       if (p > 0) delta += 1.0 / p
     }
     if (ev.insert) { c += delta; insertEdge(ev.u, ev.v) }
@@ -70,35 +65,19 @@ final class WRS(val pattern: Pattern, val M: Int, seed: Long, lambda: Double = 0
     }
   }
 
-  /** The edge evicted from the waiting room competes for the reservoir. */
+  /** The edge leaving the waiting room competes for the reservoir, whose
+    * population is the live edges outside the waiting room. */
   private def reservoirInsert(key: Long): Unit = {
-    val population = nEdges - wSet.size
-    if (nb + ng > 0) {
-      if (rng.nextDouble() * (nb + ng) < nb) { nb -= 1; rAdd(key) }
-      else { ng -= 1; adjRemove(key) }
-    } else if (rKeys.length < rCap) {
-      rAdd(key)
-    } else if (population > 0 && rng.nextDouble() * population < rCap) {
-      val victim = rKeys(rng.nextInt(rKeys.length))
-      rRemove(victim); adjRemove(victim)
-      rAdd(key)
-    } else adjRemove(key)
+    val out = rp.insert(Edge.u(key), Edge.v(key), nEdges - wSet.size)
+    if (out.hasEviction) adjRemove(out.evicted)
+    if (!out.added) adjRemove(key)
   }
 
   private def deleteEdge(u: Int, v: Int): Unit = {
     nEdges -= 1
     val key = Edge.key(u, v)
-    if (wSet.remove(key)) adjRemove(key) // stale queue entry skipped later
-    else if (rIdx.contains(key)) { rRemove(key); adjRemove(key); nb += 1 }
-    else ng += 1
-  }
-
-  private def rAdd(key: Long): Unit = { rIdx(key) = rKeys.length; rKeys += key }
-
-  private def rRemove(key: Long): Unit = {
-    val i = rIdx.remove(key).get
-    val last = rKeys.remove(rKeys.length - 1)
-    if (i < rKeys.length) { rKeys(i) = last; rIdx(last) = i }
+    // a waiting-room edge leaves a stale queue entry, skipped later
+    if (wSet.remove(key) || rp.delete(u, v)) adjRemove(key)
   }
 
   private def adjRemove(key: Long): Unit = adj.remove(Edge.u(key), Edge.v(key))

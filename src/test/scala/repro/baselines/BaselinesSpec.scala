@@ -2,30 +2,37 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Edge, EdgeEvent, Pattern, Rng, SubgraphCounter, Triangle, Wedge}
+import repro.core.{Adjacency, Edge, EdgeEvent, Pattern, Rng, SubgraphCounter, Triangle, Wedge}
 import repro.exact.ExactDynamicCounter
 
 class RPSamplerSpec extends AnyFunSuite {
 
   test("sample stays within capacity and mirrors adjacency") {
+    // an adjacency kept from the reported outcomes mirrors the sample
     val rng = new Rng(1)
     val rp = new RPSampler(20, rng)
+    val adj = new Adjacency
     val events = TestUtil.randomEvents(nVertices = 25, steps = 2000, seed = 1, deleteBias = 0.3)
     var n = 0L
     events.foreach { ev =>
-      if (ev.insert) { n += 1; rp.insert(ev.u, ev.v, n)(_ => ()) }
-      else { rp.delete(ev.u, ev.v); n -= 1 }
+      if (ev.insert) {
+        n += 1
+        val out = rp.insert(ev.u, ev.v, n)
+        if (out.hasEviction) adj.remove(Edge.u(out.evicted), Edge.v(out.evicted))
+        if (out.added) adj.add(ev.u, ev.v)
+      } else { if (rp.delete(ev.u, ev.v)) adj.remove(ev.u, ev.v); n -= 1 }
       assert(rp.size <= 20)
-      assert(rp.adj.edgeCount == rp.size)
+      assert(adj.edgeCount == rp.size)
+      assert(rp.sampledKeys.forall(k => adj.contains(Edge.u(k), Edge.v(k))))
     }
   }
 
   test("insertion-only fills up to capacity, then swaps") {
     val rng = new Rng(2)
     val rp = new RPSampler(10, rng)
-    (1 to 10).foreach(i => rp.insert(0, i, i)(_ => ()))
+    (1 to 10).foreach(i => rp.insert(0, i, i))
     assert(rp.size == 10)
-    (11 to 100).foreach(i => rp.insert(0, i, i)(_ => ()))
+    (11 to 100).foreach(i => rp.insert(0, i, i))
     assert(rp.size == 10)
   }
 
@@ -36,7 +43,7 @@ class RPSamplerSpec extends AnyFunSuite {
     val hits = new Array[Int](nEdges)
     (1 to trials).foreach { t =>
       val rp = new RPSampler(cap, new Rng(t))
-      (0 until nEdges).foreach(i => rp.insert(0, i + 1, i + 1)(_ => ()))
+      (0 until nEdges).foreach(i => rp.insert(0, i + 1, i + 1))
       (0 until nEdges).foreach(i => if (rp.contains(Edge.key(0, i + 1))) hits(i) += 1)
     }
     val expected = cap.toDouble / nEdges
@@ -55,9 +62,9 @@ class RPSamplerSpec extends AnyFunSuite {
     (1 to trials).foreach { t =>
       val rp = new RPSampler(8, new Rng(t))
       var n = 0L
-      (0 until 30).foreach { i => n += 1; rp.insert(100, i + 1, n)(_ => ()) }
+      (0 until 30).foreach { i => n += 1; rp.insert(100, i + 1, n) }
       (20 until 30).foreach { i => rp.delete(100, i + 1); n -= 1 }
-      (0 until 10).foreach { i => n += 1; rp.insert(200, i + 1, n)(_ => ()) }
+      (0 until 10).foreach { i => n += 1; rp.insert(200, i + 1, n) }
       live.foreach(k => if (rp.contains(k)) hits(k) += 1)
     }
     val freqs = live.map(k => hits(k).toDouble / trials)
