@@ -1,16 +1,14 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{FourClique, Pattern, Triangle, Wedge}
-import repro.graphgen.{Datasets, Scenario}
-import repro.harness.{Algorithms, BenchConfig, PolicyStore, Tables}
+import repro.harness.TableSpec
 
 /** Shared bootstrap for the spark-submit entrypoints: one local session per
-  * job, same knobs as the bench suites (override via -Drepro.* / env).
+  * job, same knobs as the bench suite (override via -Drepro.* / env).
   */
 object JobRunner {
   def withSpark(name: String)(body: SparkSession => Unit): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -19,113 +17,18 @@ object JobRunner {
     try body(spark)
     finally spark.stop()
   }
-
-  def metricTable(name: String, title: String, pattern: Pattern, scenario: Scenario,
-                  categories: Seq[String], nEdges: Int,
-                  algs: Seq[String] = Algorithms.fullyDynamic,
-                  sampleRatio: Double = BenchConfig.sampleRatio): Unit =
-    withSpark(name) { spark =>
-      val rows = Tables.metricTable(spark, pattern, scenario, categories, nEdges, algs, sampleRatio)
-      println(Tables.renderMetricTable(title, rows))
-      Tables.writeMetricTsv(name, rows)
-    }
 }
 
-/** Table I: dataset statistics of the synthetic proxies. */
-object Table01DatasetStats {
+/** Runs paper tables from the shared registry by id (`all` runs every one),
+  * writing the same TSVs as the bench suite; failed paper-shape checks are
+  * reported on standard error.
+  */
+object PaperTables {
   def main(args: Array[String]): Unit = {
-    Datasets.categories.foreach { c =>
-      val (trV, trE) = Datasets.stats(Datasets.train(c, BenchConfig.trainEdges))
-      val (teV, teE) = Datasets.stats(Datasets.test(c, BenchConfig.benchEdges))
-      println(f"$c%-10s train=${Datasets.trainName(c)}%-10s |V|=$trV%7d |E|=$trE%7d   " +
-        f"test=${Datasets.testName(c)}%-10s |V|=$teV%7d |E|=$teE%7d")
+    require(args.nonEmpty, s"usage: PaperTables all | <id>...; ids: ${TableSpec.all.map(_.id).mkString(", ")}")
+    val tables = if (args.sameElements(Seq("all"))) TableSpec.all else args.toSeq.map(TableSpec.byId)
+    JobRunner.withSpark("paper_tables") { spark =>
+      tables.foreach(t => t.run(spark).foreach(f => Console.err.println(s"${t.id}: shape check failed: $f")))
     }
   }
-}
-
-/** Table II: wedges under massive deletion. */
-object Table02WedgesMassive {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table02_wedges_massive", "Table II — wedges, massive deletion",
-      Wedge, Scenario.Massive(), Datasets.categories, BenchConfig.benchEdges)
-}
-
-/** Table III: triangles under massive deletion. */
-object Table03TrianglesMassive {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table03_triangles_massive", "Table III — triangles, massive deletion",
-      Triangle, Scenario.Massive(), Datasets.categories, BenchConfig.benchEdges)
-}
-
-/** Table IV / XI: WSD-L training time per category and pattern. */
-object TrainingTimes {
-  def main(args: Array[String]): Unit = {
-    val scenario: Scenario =
-      if (args.headOption.contains("light")) Scenario.Light() else Scenario.Massive()
-    for (c <- Seq("cit", "com", "soc", "web"); p <- Seq(Triangle, Wedge)) {
-      val t = PolicyStore.trained(c, scenario, p)
-      println(f"${scenario.label}%-8s $c%-6s ${p.name}%-10s train=${t.seconds}%8.2fs steps=${t.gradSteps}")
-    }
-  }
-}
-
-/** Table V / XII: WSD-L transferability matrix (triangle ARE). */
-object TransferMatrix {
-  def main(args: Array[String]): Unit = {
-    val scenario: Scenario =
-      if (args.headOption.contains("light")) Scenario.Light() else Scenario.Massive()
-    JobRunner.withSpark(s"transfer_${scenario.label}") { spark =>
-      val rows = Tables.transferTable(spark, scenario, BenchConfig.benchEdges)
-      println(Tables.renderAreTable(s"WSD-L transferability (${scenario.label})", rows))
-    }
-  }
-}
-
-/** Table VI: insertion-only triangle counting on cit-PT. */
-object Table06InsertionOnly {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table06_insertion_only", "Table VI — triangles, insertion-only (cit-PT)",
-      Triangle, Scenario.InsertOnly, Seq("cit"), BenchConfig.benchEdges, Algorithms.insertionOnly)
-}
-
-/** Table VII: 4-cliques under massive deletion. */
-object Table07CliquesMassive {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table07_cliques_massive", "Table VII — 4-cliques, massive deletion",
-      FourClique, Scenario.Massive(), Seq("cit", "com", "web", "synthetic"),
-      BenchConfig.cliqueEdges, sampleRatio = BenchConfig.cliqueSampleRatio)
-}
-
-/** Table VIII: wedges under light deletion. */
-object Table08WedgesLight {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table08_wedges_light", "Table VIII — wedges, light deletion",
-      Wedge, Scenario.Light(), Datasets.categories, BenchConfig.benchEdges)
-}
-
-/** Table IX: triangles under light deletion. */
-object Table09TrianglesLight {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table09_triangles_light", "Table IX — triangles, light deletion",
-      Triangle, Scenario.Light(), Datasets.categories, BenchConfig.benchEdges)
-}
-
-/** Table X: 4-cliques under light deletion. */
-object Table10CliquesLight {
-  def main(args: Array[String]): Unit =
-    JobRunner.metricTable("table10_cliques_light", "Table X — 4-cliques, light deletion",
-      FourClique, Scenario.Light(), Seq("cit", "com", "web", "synthetic"),
-      BenchConfig.cliqueEdges, sampleRatio = BenchConfig.cliqueSampleRatio)
-}
-
-/** Table XIII: temporal-feature ablation. */
-object Table13Ablation {
-  def main(args: Array[String]): Unit =
-    JobRunner.withSpark("table13_ablation") { spark =>
-      Seq(("massive", Scenario.Massive()): (String, Scenario),
-          ("light", Scenario.Light())).foreach { case (label, sc) =>
-        val rows = Tables.ablationTable(spark, sc, BenchConfig.benchEdges)
-        println(Tables.renderAreTable(s"Table XIII — ablation ($label)", rows))
-      }
-    }
 }

@@ -23,9 +23,6 @@ object BenchConfig {
   /** Test-graph size for 4-clique tables (enumeration is heavier). */
   val cliqueEdges: Int = intCfg("repro.bench.clique.edges", 40000)
 
-  /** Unit-test graph size. */
-  val testEdges: Int = intCfg("repro.test.edges", 2000)
-
   /** Reservoir budget as a fraction of |E| (paper: M = 200,000, i.e. ~1–7%
     * of |E| depending on the graph; Fig. 2b sweeps 1–5%; we use the upper
     * band so the |H|-signal of the weight heuristic survives the scale-down).

@@ -5,12 +5,13 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{Pattern, TemporalAgg, Triangle}
 import repro.graphgen.{Datasets, Scenario}
 
-/** Shared builders for every evaluation table. Both the `bench/` suites and
-  * the `jobs/` spark-submit entrypoints call these, so a table is produced
-  * by exactly one code path.
+/** Shared builders for every evaluation table. `TableSpec.all` declares the
+  * tables over them, and both `bench/` and `jobs/` run that one registry.
   *
-  * Results are printed in the paper's layout and appended as TSV under
-  * `bench-results/` for diffing against the paper in EXPERIMENTS.md.
+  * Results are printed in the paper's layout and written as TSV under the
+  * directory named by `-Drepro.results.dir` (build.sbt points it at the
+  * checkout's `bench-results/`) for diffing against the paper in
+  * EXPERIMENTS.md.
   */
 object Tables {
 
@@ -30,7 +31,9 @@ object Tables {
     * therefore probe a few deterministic seeds and keep the first whose
     * end-of-stream truth is at least 10% of the peak truth — a documented
     * evaluation-protocol choice, not per-algorithm tuning (all algorithms
-    * see the same stream).
+    * see the same stream). The number of wipes is random, so a massive
+    * stream with no deletion at all is skipped; if every seed gives one,
+    * the scenario cannot be evaluated and this throws.
     */
   private[harness] def buildStream(
       edges: Array[Long],
@@ -38,15 +41,19 @@ object Tables {
       pattern: Pattern,
       baseSeed: Long,
   ): (Array[repro.core.EdgeEvent], TrialRunner.TruthSeries) = {
+    val mustDelete = scenario.isInstanceOf[Scenario.Massive]
     var best: (Array[repro.core.EdgeEvent], TrialRunner.TruthSeries) = null
     var attempt = 0
     while (attempt < 5) {
       val stream = scenario.build(edges, baseSeed + attempt)
-      val truth = TrialRunner.truth(stream, pattern, BenchConfig.checkpoints)
-      if (best == null) best = (stream, truth)
-      if (truth.finalTruth >= 0.1 * truth.values.max) return (stream, truth)
+      if (!mustDelete || stream.exists(!_.insert)) {
+        val truth = TrialRunner.truth(stream, pattern, BenchConfig.checkpoints)
+        if (best == null) best = (stream, truth)
+        if (truth.finalTruth >= 0.1 * truth.values.max) return (stream, truth)
+      }
       attempt += 1
     }
+    require(best != null, s"$scenario gave no stream with a deletion in 5 seeds from $baseSeed")
     best
   }
 
@@ -110,9 +117,10 @@ object Tables {
     sb.result()
   }
 
-  /** Persist a table as TSV under bench-results/ (absolute, fork-safe). */
+  /** Persist a table as `<name>.tsv` under `repro.results.dir`. */
   def writeTsv(name: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    val dir = Paths.get(sys.props.getOrElse("repro.results.dir", "/root/repo/bench-results"))
+    val dir = Paths.get(sys.props.getOrElse("repro.results.dir",
+      throw new IllegalStateException("set -Drepro.results.dir to the directory for table TSVs")))
     Files.createDirectories(dir)
     val content = (header +: rows).map(_.mkString("\t")).mkString("", "\n", "\n")
     Files.write(dir.resolve(s"$name.tsv"), content.getBytes("UTF-8"),

@@ -3,6 +3,7 @@ package repro.exact
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core.{Edge, EdgeEvent, Pattern, Triangle, Wedge, FourClique}
+import repro.graphgen.Generators
 import scala.collection.mutable
 
 class ExactDynamicCounterSpec extends AnyFunSuite {
@@ -25,10 +26,14 @@ class ExactDynamicCounterSpec extends AnyFunSuite {
   }
 
   test("static helper matches brute force") {
-    val edges = TestUtil.clique(6)
-    assert(ExactDynamicCounter.staticCount(Triangle, edges) == TestUtil.bruteTriangles(edges))
-    assert(ExactDynamicCounter.staticCount(Wedge, edges) == TestUtil.bruteWedges(edges))
-    assert(ExactDynamicCounter.staticCount(FourClique, edges) == TestUtil.bruteFourCliques(edges))
+    val graphs: Seq[(String, Seq[(Int, Int)])] = Seq(
+      "clique"  -> TestUtil.clique(6),
+      "er"      -> TestUtil.keysToPairs(Generators.erdosRenyi(n = 40, m = 150, seed = 1)),
+      "ff"      -> TestUtil.keysToPairs(Generators.forestFire(n = 60, p = 0.45, seed = 2)),
+      "planted" -> TestUtil.keysToPairs(Generators.plantedPartition(4, 12, 0.35, 20, seed = 3)),
+    )
+    for ((label, edges) <- graphs; pattern <- Pattern.all)
+      assert(ExactDynamicCounter.staticCount(pattern, edges) == brute(pattern, edges), s"$label/${pattern.name}")
   }
 
   // differential test: after every event the dynamic count equals a full

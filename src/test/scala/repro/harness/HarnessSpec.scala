@@ -94,13 +94,28 @@ class AlgorithmsSpec extends AnyFunSuite {
   }
 }
 
+class BuildStreamSpec extends AnyFunSuite {
+
+  private val edges = repro.graphgen.Generators.erdosRenyi(n = 30, m = 120, seed = 4)
+
+  test("a massive-deletion stream always deletes") {
+    val (stream, _) = Tables.buildStream(edges, Scenario.Massive(alphaEvents = 20.0), Triangle, baseSeed = 1)
+    assert(stream.exists(!_.insert))
+  }
+
+  test("massive deletion with no wipe in any seed is rejected") {
+    intercept[IllegalArgumentException](
+      Tables.buildStream(edges, Scenario.Massive(alphaEvents = 1e-6), Triangle, baseSeed = 1))
+  }
+}
+
 class BenchConfigSpec extends AnyFunSuite {
   test("mFor scales with edges and has a floor") {
     assert(BenchConfig.mFor(100000) == (100000 * BenchConfig.sampleRatio).toInt)
     assert(BenchConfig.mFor(10) == 32)
   }
   test("defaults are sane") {
-    assert(BenchConfig.trials > 0 && BenchConfig.benchEdges > BenchConfig.testEdges)
+    assert(BenchConfig.trials > 0)
     assert(BenchConfig.sampleRatio > 0 && BenchConfig.sampleRatio < 1)
   }
 }
