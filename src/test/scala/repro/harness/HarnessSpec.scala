@@ -98,9 +98,12 @@ class BuildStreamSpec extends AnyFunSuite {
 
   private val edges = repro.graphgen.Generators.erdosRenyi(n = 30, m = 120, seed = 4)
 
-  test("a massive-deletion stream always deletes") {
-    val (stream, _) = Tables.buildStream(edges, Scenario.Massive(alphaEvents = 20.0), Triangle, baseSeed = 1)
-    assert(stream.exists(!_.insert))
+  test("a massive-deletion stream without a deletion is skipped") {
+    val scenario = Scenario.Massive(alphaEvents = 1.0)
+    // on this graph seeds 22–25 fire no wipe and seed 26 does
+    assert((22 to 25).forall(s => scenario.build(edges, s).forall(_.insert)))
+    val (stream, _) = Tables.buildStream(edges, scenario, Triangle, baseSeed = 22)
+    assert(stream.sameElements(scenario.build(edges, 26)))
   }
 
   test("massive deletion with no wipe in any seed is rejected") {
