@@ -41,12 +41,14 @@ final class WRS(val pattern: Pattern, val M: Int, seed: Long, lambda: Double = 0
   override def process(ev: EdgeEvent): Unit = {
     // estimator first, over the current sample (waiting room ∪ reservoir)
     val reservoirPop = math.max(0L, (if (ev.insert) nEdges else nEdges - 1) - wSet.size)
+    val rCap = rp.capacity
+    val d = rp.uncompensated
     var delta = 0.0
     pattern.foreachInstance(adj, ev.u, ev.v) { others =>
       var kR = 0
       var i = 0
       while (i < others.length) { if (!wSet.contains(others(i))) kR += 1; i += 1 }
-      val p = RPSampler.jointProb(kR, rp.capacity, reservoirPop, rp.uncompensated)
+      val p = RPSampler.jointProb(kR, rCap, reservoirPop, d)
       if (p > 0) delta += 1.0 / p
     }
     if (ev.insert) { c += delta; insertEdge(ev.u, ev.v) }
