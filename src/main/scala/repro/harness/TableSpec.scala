@@ -18,7 +18,6 @@ object TableSpec {
 
   private val massive: Scenario = Scenario.Massive()
   private val light: Scenario = Scenario.Light()
-  private val testCategories = Seq("cit", "com", "soc", "web")
   private val cliqueCategories = Seq("cit", "com", "web", "synthetic") // soc-TW omitted, as in the paper
 
   /** Every table, in the paper's order. */
@@ -71,7 +70,8 @@ object TableSpec {
       sampleRatio: Double = BenchConfig.sampleRatio,
   )(shape: Seq[MetricRow] => Option[String]): TableSpec =
     TableSpec(id, title, { spark =>
-      val rows = Tables.metricTable(spark, pattern, scenario, categories, nEdges, algs, sampleRatio)
+      val rows = categories.map(c =>
+        Tables.evaluateDataset(spark, c, pattern, scenario, nEdges, algs, sampleRatio = sampleRatio))
       println(Tables.renderMetricTable(title, rows))
       Tables.writeMetricTsv(id, rows)
       val finite = for {
@@ -132,7 +132,7 @@ object TableSpec {
     TableSpec(id, title, { _ =>
       val patterns: Seq[Pattern] = Seq(Triangle, Wedge)
       val header = "category" +: patterns.map(p => s"${p.name}_s")
-      val trained = testCategories.map(c => c -> patterns.map(PolicyStore.trained(c, scenario, _)))
+      val trained = Tables.testCategories.map(c => c -> patterns.map(PolicyStore.trained(c, scenario, _)))
       val rows = trained.map { case (c, ts) => c +: ts.map(t => f"${t.seconds}%.2f") }
       printRows(title, header +: rows)
       Tables.writeTsv(id, header, rows)

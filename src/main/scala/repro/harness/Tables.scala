@@ -21,6 +21,9 @@ object Tables {
   /** One dataset row of a metric table. */
   final case class MetricRow(dataset: String, nEvents: Int, cells: Seq[(String, Cell)])
 
+  /** The categories with a real-graph counterpart in the paper's Table I. */
+  val testCategories: Seq[String] = Seq("cit", "com", "soc", "web")
+
   private def streamSeed(category: String): Long = 1000L + category.hashCode
 
   /** Build the evaluation stream + ground truth for one dataset.
@@ -84,19 +87,6 @@ object Tables {
     MetricRow(Datasets.testName(category), stream.length, cells)
   }
 
-  /** A full metric table (Tables II, III, VII, VIII, IX, X). */
-  def metricTable(
-      spark: SparkSession,
-      pattern: Pattern,
-      scenario: Scenario,
-      categories: Seq[String],
-      nEdges: Int,
-      algs: Seq[String] = Algorithms.fullyDynamic,
-      sampleRatio: Double = BenchConfig.sampleRatio,
-  ): Seq[MetricRow] =
-    categories.map(c =>
-      evaluateDataset(spark, c, pattern, scenario, nEdges, algs, sampleRatio = sampleRatio))
-
   /** Render a metric table in the paper's three-section layout. */
   def renderMetricTable(title: String, rows: Seq[MetricRow]): String = {
     val algs = rows.head.cells.map(_._1)
@@ -143,8 +133,7 @@ object Tables {
     */
   def transferTable(spark: SparkSession, scenario: Scenario, nEdges: Int): Seq[(String, Seq[(String, Double)])] = {
     val sources = Datasets.categories
-    val tests = Seq("cit", "com", "soc", "web")
-    tests.map { testCat =>
+    testCategories.map { testCat =>
       val edges = Datasets.test(testCat, nEdges)
       val m = BenchConfig.mFor(edges.length)
       val (stream, truth) = buildStream(edges, scenario, Triangle, streamSeed(testCat))
@@ -166,8 +155,7 @@ object Tables {
 
   /** Ablation (Table XIII): WSD-L(Max) vs WSD-L(Avg) vs WSD-H; triangle ARE. */
   def ablationTable(spark: SparkSession, scenario: Scenario, nEdges: Int): Seq[(String, Seq[(String, Double)])] = {
-    val tests = Seq("cit", "com", "soc", "web")
-    tests.map { cat =>
+    testCategories.map { cat =>
       val edges = Datasets.test(cat, nEdges)
       val m = BenchConfig.mFor(edges.length)
       val (stream, truth) = buildStream(edges, scenario, Triangle, streamSeed(cat))
