@@ -58,6 +58,21 @@ object WSDProps extends Properties("WSD") {
         !w.estimate.isNaN && !w.estimate.isInfinite
     }
 
+  // The identity that lets WSD and GPS-A share one threshold rule:
+  // τ_q ← max(τ_q, ·) never undoes WSD's τ_q = τ_p step.
+  property("thresholds never decrease; τ_q ≤ τ_p; GPS-A's r_{M+1} never decreases") =
+    Prop.forAll(streamGen, Gen.chooseNum(5, 40)) { case ((events, seed), m) =>
+      val w = new WSD(Triangle, math.max(m, Triangle.size), HeuristicWeight, seed)
+      val g = new GPSA(Triangle, math.max(m, Triangle.size), HeuristicWeight, seed)
+      var (tauP, tauQ, rM1) = (0.0, 0.0, 0.0)
+      events.forall { ev =>
+        w.process(ev); g.process(ev)
+        val ok = w.tauP >= tauP && w.tauQ >= tauQ && w.tauQ <= w.tauP && g.rM1 >= rM1
+        tauP = w.tauP; tauQ = w.tauQ; rM1 = g.rM1
+        ok
+      }
+    }
+
   property("huge M gives the exact count") =
     Prop.forAll(streamGen) { case (events, seed) =>
       val w = new WSD(Wedge, 100000, HeuristicWeight, seed)
