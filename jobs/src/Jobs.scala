@@ -14,6 +14,7 @@ object JobRunner {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.ui.enabled", "false")
       .getOrCreate()
+    spark.sparkContext.setLogLevel("WARN") // keep the printed tables readable
     try body(spark)
     finally spark.stop()
   }

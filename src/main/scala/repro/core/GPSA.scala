@@ -1,12 +1,11 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** GPS [14] and its fully-dynamic adaptation GPS-A (Section III-A/B).
+/** GPS [14] and its fully-dynamic adaptation GPS-A (Section III-A/B), on
+  * the shared [[WeightedReservoir]].
   *
   * Sampling is identical to GPS: a new edge is always admitted while the
   * reservoir is non-full; once full it must beat the minimum sampled rank.
-  * `z` tracks `r_{M+1}` — the (M+1)-th largest rank among all inserted
+  * `τ_q` is `z = r_{M+1}` — the (M+1)-th largest rank among all inserted
   * edges, which is exactly the running maximum over all rejected/evicted
   * ranks — and gives the inclusion probability `P[e ∈ R] = min(1, w/z)`.
   *
@@ -19,86 +18,33 @@ import scala.collection.mutable
   * `name = "GPS"`).
   */
 final class GPSA(
-    val pattern: Pattern,
-    val M: Int,
-    val weightFn: WeightFunction,
+    pattern: Pattern,
+    M: Int,
+    weightFn: WeightFunction,
     seed: Long,
     override val name: String = "GPS-A",
-) extends SubgraphCounter with Serializable {
-  require(M >= pattern.size, s"M=$M must be at least |H|=${pattern.size}")
+) extends WeightedReservoir(pattern, M, weightFn, seed, TemporalAgg.Max) {
 
-  private final class GEntry(val w: Double, val rank: Double, val time: Long, var tagged: Boolean)
-
-  private val rng     = new Rng(seed)
-  private val heap    = new IndexedMinHeap(M + 1)
-  private val entries = mutable.HashMap.empty[Long, GEntry]
-  private val adj     = new Adjacency // untagged sampled edges only
-
-  private var z = 0.0 // r_{M+1}
-  private var c = 0.0
-  private var t = 0L
-
-  override def estimate: Double = c
-  override def sampleSize: Int = heap.size
-  def rM1: Double = z
+  def rM1: Double = tauQv
   /** Number of DEL-tagged (wasted) slots — GPS-A's intrinsic drawback. */
-  def taggedCount: Int = entries.valuesIterator.count(_.tagged)
+  def taggedCount: Int = heap.values.count(_.tagged)
 
-  override def process(ev: EdgeEvent): Unit = {
-    t += 1
-    var delta = 0.0
-    var nInst = 0L
-    pattern.foreachInstance(adj, ev.u, ev.v) { others =>
-      nInst += 1
-      var p = 1.0
-      var i = 0
-      while (i < others.length) { p *= Rank.inclusionProb(entries(others(i)).w, z); i += 1 }
-      delta += 1.0 / p
-    }
-    if (ev.insert) {
-      c += delta
-      val state = Array[Double](nInst.toDouble,
-        adj.degree(ev.u).toDouble, adj.degree(ev.v).toDouble)
-      insertEdge(ev.u, ev.v, weightFn.weight(state))
-    } else {
-      c -= delta
-      val key = Edge.key(ev.u, ev.v)
-      entries.get(key).foreach { e =>
-        if (!e.tagged) { e.tagged = true; adj.remove(ev.u, ev.v) }
-      }
-    }
-  }
+  override protected def admitWhileFilling(r: Double): Boolean = true
 
-  private def insertEdge(u: Int, v: Int, w: Double): Unit = {
-    val r   = Rank.draw(w, rng)
-    val key = Edge.key(u, v)
-    // Re-insertion of an edge whose DEL-tagged copy still occupies a slot
-    // (feasible in a fully dynamic stream): the stale copy is evicted first.
-    // The paper's streams delete each edge at most once, so this path only
-    // matters for adversarial inputs; it keeps the reservoir keyable by edge.
-    entries.get(key).foreach { stale =>
+  // Re-insertion of an edge whose DEL-tagged copy still occupies a slot
+  // (feasible in a fully dynamic stream): the stale copy is evicted first.
+  // The paper's streams delete each edge at most once, so this path only
+  // matters for adversarial inputs; it keeps the reservoir keyable by edge.
+  override protected def beforeInsert(key: Long, u: Int, v: Int): Unit =
+    heap.get(key).foreach { stale =>
       require(stale.tagged, s"insert of live edge ($u,$v)")
       heap.removeKey(key)
-      entries.remove(key)
     }
-    if (heap.size < M) {
-      add(key, u, v, w, r)
-    } else if (r > heap.minRank) {
-      val (mk, mr) = heap.popMin()
-      z = math.max(z, mr)
-      val me = entries.remove(mk).get
-      if (!me.tagged) adj.remove(Edge.u(mk), Edge.v(mk))
-      add(key, u, v, w, r)
-    } else {
-      z = math.max(z, r)
-    }
-  }
 
-  private def add(key: Long, u: Int, v: Int, w: Double, r: Double): Unit = {
-    heap.insert(key, r)
-    entries(key) = new GEntry(w, r, t, tagged = false)
-    adj.add(u, v)
-  }
+  override protected def deleteEdge(key: Long, u: Int, v: Int): Unit =
+    heap.get(key).foreach { e =>
+      if (!e.tagged) { e.tagged = true; adj.remove(u, v) }
+    }
 }
 
 object GPSA {

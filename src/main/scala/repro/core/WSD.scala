@@ -1,180 +1,53 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** One reservoir entry: the edge's weight, drawn rank, and arrival time. */
-final case class WSDEntry(w: Double, rank: Double, time: Long)
-
 /** WSD — weighted sampling with deletions (Algorithm 1) fused with the
-  * subgraph-count estimator (Algorithm 2).
+  * subgraph-count estimator (Algorithm 2), on the shared
+  * [[WeightedReservoir]].
   *
-  * The sampler keeps a min-priority reservoir of at most `M` edges and two
-  * thresholds: `τ_p` gates sampling of new edges, `τ_q` is the rank value
-  * whose exceedance probability equals each sampled edge's inclusion
-  * probability (`P[e ∈ R] = P[r(e) > τ_q] = min(1, w(e)/τ_q)`, Lemma 1).
-  *
-  * On every event the estimator is updated *before* the reservoir
-  * (Algorithm 2 observes `R` and `τ_q` "just after time t−1"): each pattern
-  * instance closed by the event's edge contributes the product of the other
-  * edges' inverse inclusion probabilities, added on insertion and
-  * subtracted on deletion. Theorem 4 proves this unbiased; the Monte-Carlo
-  * test suite checks it empirically.
-  *
-  * The insertion path also materialises the MDP state of Eq. (22) for the
-  * weight function, with the `v_j` temporal features aggregated by
-  * `temporalAgg` (Max in the paper, Avg in the Table XIII ablation).
+  * While the reservoir is not full, a new edge enters only if its rank
+  * beats `τ_p`; a deleted edge is evicted physically and the thresholds are
+  * held (Case 3), so no slot is wasted on a dead edge.
   */
 final class WSD(
-    val pattern: Pattern,
-    val M: Int,
-    val weightFn: WeightFunction,
+    pattern: Pattern,
+    M: Int,
+    weightFn: WeightFunction,
     seed: Long,
     temporalAgg: TemporalAgg = TemporalAgg.Max,
     override val name: String = "WSD",
-) extends SubgraphCounter with Serializable {
-  require(M >= pattern.size, s"M=$M must be at least |H|=${pattern.size}")
-
-  private[core] val rng     = new Rng(seed)
-  private[core] val heap    = new IndexedMinHeap(M + 1)
-  private[core] val entries = mutable.HashMap.empty[Long, WSDEntry]
-  private[core] val adj     = new Adjacency
-
-  private var tauPv = 0.0
-  private var tauQv = 0.0
-  private var c     = 0.0
-  private var t     = 0L
-
-  /** Last MDP state built on an insertion event (for RL training). */
-  private var lastStateV: Array[Double] = Array.empty
+) extends WeightedReservoir(pattern, M, weightFn, seed, temporalAgg) {
 
   def tauP: Double = tauPv
   def tauQ: Double = tauQv
-  def time: Long = t
-  def lastState: Array[Double] = lastStateV
-  override def estimate: Double = c
-  override def sampleSize: Int = heap.size
 
   /** Reservoir membership (for invariant tests). */
-  def sampled(u: Int, v: Int): Boolean = entries.contains(Edge.key(u, v))
+  def sampled(u: Int, v: Int): Boolean = heap.contains(Edge.key(u, v))
 
-  override def process(ev: EdgeEvent): Unit = {
-    t += 1
-    val d = pattern.size - 1
-    var delta = 0.0
-    var nInst = 0L
-    val wantTemporal = ev.insert && weightFn.needsTemporal
-    // temporal accumulator over the sorted other-edge arrival times
-    val agg   = new Array[Double](d)
-    val times = new Array[Double](d)
-    pattern.foreachInstance(adj, ev.u, ev.v) { others =>
-      nInst += 1
-      var p = 1.0
-      var i = 0
-      while (i < others.length) {
-        val e = entries(others(i))
-        p *= Rank.inclusionProb(e.w, tauQv)
-        times(i) = e.time.toDouble
-        i += 1
-      }
-      delta += 1.0 / p
-      if (wantTemporal) {
-        java.util.Arrays.sort(times)
-        i = 0
-        temporalAgg match {
-          case TemporalAgg.Max => while (i < d) { if (times(i) > agg(i)) agg(i) = times(i); i += 1 }
-          case TemporalAgg.Avg => while (i < d) { agg(i) += times(i); i += 1 }
-        }
-      }
-    }
+  override protected def admitWhileFilling(r: Double): Boolean = r > tauPv
 
-    if (ev.insert) {
-      c += delta
-      val state = new Array[Double](3 + pattern.size)
-      state(0) = nInst.toDouble
-      state(1) = adj.degree(ev.u).toDouble
-      state(2) = adj.degree(ev.v).toDouble
-      if (wantTemporal && nInst > 0) {
-        var i = 0
-        while (i < d) {
-          state(3 + i) = temporalAgg match {
-            case TemporalAgg.Max => agg(i)
-            case TemporalAgg.Avg => agg(i) / nInst
-          }
-          i += 1
-        }
-        state(3 + d) = t.toDouble // v_|H| — the new edge itself
-      }
-      lastStateV = state
-      insertEdge(ev.u, ev.v, state)
-    } else {
-      c -= delta
-      deleteEdge(ev.u, ev.v)
-    }
-  }
-
-  private def insertEdge(u: Int, v: Int, state: Array[Double]): Unit = {
-    val w = weightFn.weight(state)
-    val r = Rank.draw(w, rng)
-    val key = Edge.key(u, v)
-    if (heap.size < M) {
-      // Case 1: non-full reservoir — τ_p and τ_q are held (see Section III-C).
-      if (r > tauPv) add(key, u, v, w, r)
-    } else {
-      // Case 2: full reservoir — τ_p becomes the minimum sampled rank.
-      tauPv = heap.minRank
-      if (r > tauPv) { // Case 2.1
-        val (mk, _) = heap.popMin()
-        dropEntry(mk)
-        add(key, u, v, w, r)
-        tauQv = tauPv
-      } else if (r > tauQv) { // Case 2.2
-        tauQv = r
-      } // Case 2.3: discard, nothing to update
-    }
-  }
-
-  private def deleteEdge(u: Int, v: Int): Unit = {
-    // Case 3: physically evict the edge; thresholds are held.
-    val key = Edge.key(u, v)
-    if (entries.contains(key)) {
-      heap.removeKey(key)
-      entries.remove(key)
-      adj.remove(u, v)
-    }
-  }
-
-  private def add(key: Long, u: Int, v: Int, w: Double, r: Double): Unit = {
-    heap.insert(key, r)
-    entries(key) = WSDEntry(w, r, t)
-    adj.add(u, v)
-  }
-
-  private def dropEntry(key: Long): Unit = {
-    entries.remove(key)
-    adj.remove(Edge.u(key), Edge.v(key))
-  }
+  override protected def deleteEdge(key: Long, u: Int, v: Int): Unit =
+    if (heap.removeKey(key)) adj.remove(u, v)
 
   // ---- Structured Streaming state round trip --------------------------------
 
   /** Snapshot the full sampler state (used by `repro.spark.StreamingWSD`). */
   def toState: WSDSnapshot = {
-    val ks = new Array[Long](entries.size)
-    val ws = new Array[Double](entries.size)
-    val rs = new Array[Double](entries.size)
-    val ts = new Array[Long](entries.size)
+    val ks = new Array[Long](heap.size)
+    val ws = new Array[Double](heap.size)
+    val rs = new Array[Double](heap.size)
+    val ts = new Array[Long](heap.size)
     var i = 0
-    entries.foreach { case (k, e) => ks(i) = k; ws(i) = e.w; rs(i) = e.rank; ts(i) = e.time; i += 1 }
+    heap.values.foreach { e => ks(i) = e.key; ws(i) = e.w; rs(i) = e.rank; ts(i) = e.time; i += 1 }
     WSDSnapshot(ks, ws, rs, ts, tauPv, tauQv, c, t, rng.stateSnapshot)
   }
 
   /** Restore a snapshot taken with [[toState]]. */
   def restoreState(s: WSDSnapshot): Unit = {
-    require(heap.isEmpty && entries.isEmpty, "restoreState on a used sampler")
+    require(heap.isEmpty, "restoreState on a used sampler")
     var i = 0
     while (i < s.keys.length) {
       val k = s.keys(i)
-      heap.insert(k, s.ranks(i))
-      entries(k) = WSDEntry(s.weights(i), s.ranks(i), s.times(i))
+      heap.insert(k, s.ranks(i), s.weights(i), s.times(i))
       adj.add(Edge.u(k), Edge.v(k))
       i += 1
     }

@@ -10,9 +10,11 @@ import repro.core.{EdgeEvent, Pattern, WSD, WSDSnapshot, WeightFunction}
   * number; a single keyed group carries the sampler state (a flat,
   * product-encoded `WSDSnapshot`) across batches via
   * `flatMapGroupsWithState`, emitting the running estimate after every
-  * event. The operator is bit-for-bit equivalent to the sequential `WSD`
-  * given the same seed — asserted across arbitrary batch splits in
-  * `StreamingWSDSpec`.
+  * event. Given the same seed, every row's sequence number and sample size
+  * match the sequential `WSD`'s, and so does the estimate up to its last
+  * bits: restoring the snapshot rebuilds the sampled adjacency in snapshot
+  * order, so later events may sum their instances in another order
+  * (ROADMAP item 2). `StreamingWSDSpec` checks this across batch splits.
   *
   * The one-pass, limited-memory contract of Definition 1 carries over:
   * state size is O(M) regardless of stream length.
