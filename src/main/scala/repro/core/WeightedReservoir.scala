@@ -50,7 +50,6 @@ abstract class WeightedReservoir(
   /** Last MDP state built on an insertion event (for RL training). */
   private var lastStateV: Array[Double] = Array.empty
 
-  def time: Long = t
   def lastState: Array[Double] = lastStateV
   override def estimate: Double = c
   override def sampleSize: Int = heap.size
