@@ -111,3 +111,28 @@ object ExactCounterProps extends Properties("ExactDynamicCounter") {
       c.count == TestUtil.bruteTriangles(pairs)
     }
 }
+
+/** A pattern's count of the instances an edge closes equals its enumeration. */
+object PatternProps extends Properties("Pattern") {
+
+  private val graphGen: Gen[(Adjacency, Int)] = for {
+    n <- Gen.chooseNum(2, 20)
+    m <- Gen.chooseNum(0, 80)
+    seed <- Gen.chooseNum(1L, 100000L)
+  } yield {
+    val adj = new Adjacency
+    Generators.erdosRenyi(n, math.min(m, n * (n - 1) / 2), seed).foreach(k => adj.add(Edge.u(k), Edge.v(k)))
+    (adj, n)
+  }
+
+  property("countInstances equals the foreachInstance visit count") =
+    Prop.forAll(graphGen) { case (adj, n) =>
+      Pattern.all.forall { p =>
+        (0 to n).forall(u => (0 to n).forall { v =>
+          var visits = 0L
+          p.foreachInstance(adj, u, v)(_ => visits += 1)
+          p.countInstances(adj, u, v) == visits
+        })
+      }
+    }
+}

@@ -177,6 +177,39 @@ class BaselineCountersSpec extends AnyFunSuite {
       (925.8148148148144, 30, 3, 27), (1150.4074074074074, 26, 3, 23), (1272.888888888885, 28, 3, 25)))
   }
 
+  // Fixed-seed checkpoints of (estimate, sampleSize) for the two counters
+  // that only count the instances an edge closes, plus the exact wedge
+  // truth on the same stream. Recorded from the enumerating wedge count; the
+  // degree closed form must reproduce them exactly.
+  private val wedgeEvents = TestUtil.randomEvents(nVertices = 25, steps = 1200, seed = 23, deleteBias = 0.35)
+
+  private def countTrace(alg: SubgraphCounter): Seq[(Double, Int)] =
+    wedgeEvents.indices.flatMap { i =>
+      alg.process(wedgeEvents(i))
+      if ((i + 1) % 200 == 0) Some((alg.estimate, alg.sampleSize)) else None
+    }
+
+  test("Triest golden trace (wedges, with deletions)") {
+    assert(countTrace(new Triest(Wedge, 30, 8)) == Seq(
+      (72.97471264367816, 30), (67.29655172413794, 23), (370.17931034482757, 29),
+      (566.0689655172414, 28), (850.0965517241381, 28), (1272.3563218390802, 30)))
+  }
+
+  test("ThinkD golden trace (wedges, with deletions)") {
+    assert(countTrace(new ThinkD(Wedge, 30, 9)) == Seq(
+      (74.7, 30), (102.06666666666673, 24), (402.70000000000016, 27),
+      (590.0333333333332, 29), (947.5666666666665, 30), (1471.7000000000016, 30)))
+  }
+
+  test("exact wedge truth series (with deletions)") {
+    val exact = new ExactDynamicCounter(Wedge)
+    val series = wedgeEvents.indices.flatMap { i =>
+      exact.process(wedgeEvents(i))
+      if ((i + 1) % 200 == 0) Some(exact.count) else None
+    }
+    assert(series == Seq(73L, 75L, 340L, 585L, 861L, 1308L))
+  }
+
   test("WRS rejects degenerate lambda") {
     intercept[IllegalArgumentException](new WRS(Triangle, 10, 1, lambda = 0.0))
     intercept[IllegalArgumentException](new WRS(Triangle, 10, 1, lambda = 1.0))

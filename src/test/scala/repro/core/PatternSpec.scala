@@ -90,6 +90,25 @@ class PatternSpec extends AnyFunSuite {
       assert(total(FourClique, edges) == TestUtil.bruteFourCliques(edges))
     }
 
+  // Wedges are counted from degrees, not enumerated: hold every pattern's
+  // count to its enumeration on every vertex pair, with (u,v) present,
+  // absent, u == v, and a vertex outside the graph.
+  for (seed <- 1 to 4)
+    test(s"countInstances equals the number of enumerated instances, seed=$seed") {
+      val n = 12
+      val adj = TestUtil.adjacency(TestUtil.keysToPairs(Generators.erdosRenyi(n, m = 12 * seed, seed)))
+      var present, absent = 0
+      for (u <- 0 to n; v <- 0 to n) {
+        if (u != v) { if (adj.contains(u, v)) present += 1 else absent += 1 }
+        Pattern.all.foreach { p =>
+          var visits = 0L
+          p.foreachInstance(adj, u, v)(_ => visits += 1)
+          assert(p.countInstances(adj, u, v) == visits, s"${p.name} ($u,$v)")
+        }
+      }
+      assert(present > 0 && absent > 0)
+    }
+
   test("countInstances is order-independent for the final count") {
     val keys = Generators.erdosRenyi(n = 12, m = 30, seed = 99)
     val edges = TestUtil.keysToPairs(keys)
