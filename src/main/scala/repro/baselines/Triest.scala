@@ -39,8 +39,8 @@ final class Triest(val pattern: Pattern, val M: Int, seed: Long)
         tau -= pattern.countInstances(adj, a, b)
         adj.remove(a, b)
       }
-      // enumeration skips the new edge itself, so this counts exactly the
-      // instances it closes within the sample
+      // countInstances leaves the new edge itself out, so this counts
+      // exactly the instances it closes within the sample
       if (out.added) { adj.add(ev.u, ev.v); tau += pattern.countInstances(adj, ev.u, ev.v) }
     } else {
       if (rp.delete(ev.u, ev.v)) {

@@ -5,7 +5,10 @@ import scala.collection.mutable
 /** Read-only view of an undirected graph, as seen by pattern enumeration.
   *
   * Implemented both by the samplers' reservoir adjacency and by the exact
-  * counter's full-graph adjacency.
+  * counter's full-graph adjacency. Contract, which `Pattern`'s closed-form
+  * counts rely on: adjacency is symmetric (`v` in `neighbors(u)` iff `u` in
+  * `neighbors(v)`), there are no self-loops, `contains(u, v)` iff `v` is in
+  * `neighbors(u)`, and `degree(u) == neighbors(u).size`.
   */
 trait GraphView {
   /** Neighbors of `u` (empty set if unknown vertex). */
@@ -16,7 +19,10 @@ trait GraphView {
   def degree(u: Int): Int
 }
 
-/** Mutable undirected adjacency with O(1) edge add/remove/lookup. */
+/** Mutable undirected adjacency with O(1) edge add/remove/lookup. Stores
+  * each edge in both directions and rejects self-loops and duplicates, so it
+  * keeps the `GraphView` contract.
+  */
 final class Adjacency extends GraphView with Serializable {
   private val adj = mutable.HashMap.empty[Int, mutable.HashSet[Int]]
   private var m = 0L
@@ -43,10 +49,15 @@ final class Adjacency extends GraphView with Serializable {
   override def neighbors(u: Int): collection.Set[Int] =
     adj.getOrElse(u, Adjacency.emptySet)
 
-  override def contains(u: Int, v: Int): Boolean =
-    adj.get(u).exists(_.contains(v))
+  override def contains(u: Int, v: Int): Boolean = {
+    val su = adj.getOrElse(u, null)
+    su != null && su.contains(v)
+  }
 
-  override def degree(u: Int): Int = adj.get(u).map(_.size).getOrElse(0)
+  override def degree(u: Int): Int = {
+    val su = adj.getOrElse(u, null)
+    if (su == null) 0 else su.size
+  }
 }
 
 object Adjacency {

@@ -22,7 +22,8 @@ sealed trait Pattern extends Serializable {
   /** Visit the other-edge keys of each instance closed by `(u,v)` in `g`. */
   def foreachInstance(g: GraphView, u: Int, v: Int)(visit: Array[Long] => Unit): Unit
 
-  /** Count of instances closed by `(u,v)` in `g`. */
+  /** Count of instances closed by `(u,v)` in `g`: the number of
+    * `foreachInstance` visits, or a closed form that equals it. */
   def countInstances(g: GraphView, u: Int, v: Int): Long = {
     var c = 0L
     foreachInstance(g, u, v)(_ => c += 1)
@@ -39,6 +40,13 @@ case object Wedge extends Pattern {
     g.neighbors(u).foreach { w => if (w != v) { out(0) = Edge.key(u, w); visit(out) } }
     g.neighbors(v).foreach { w => if (w != u) { out(0) = Edge.key(v, w); visit(out) } }
   }
+
+  /** Every edge at `u` or `v` other than `(u,v)` itself closes one wedge.
+    * Equals the enumeration's count on any `GraphView` that keeps its
+    * contract, whether or not `(u,v)` is present, and also for `u == v`.
+    */
+  override def countInstances(g: GraphView, u: Int, v: Int): Long =
+    g.degree(u).toLong + g.degree(v) - (if (g.contains(u, v)) 2 else 0)
 }
 
 /** 3-clique: the new edge plus the two edges to a common neighbor. */

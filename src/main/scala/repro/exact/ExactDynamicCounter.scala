@@ -6,8 +6,9 @@ import repro.core.{Adjacency, EdgeEvent, Pattern}
   *
   * Maintains the full graph and, per event, adds/subtracts the number of
   * pattern instances closed by the event's edge against the current graph
-  * (the same enumeration primitive the samplers use, but over the complete
-  * adjacency). Used for ARE/MARE denominators and for RL rewards.
+  * (the same `Pattern.countInstances` the samplers use, but over the complete
+  * adjacency; O(1) from degrees for wedges). Used for ARE/MARE denominators
+  * and for RL rewards.
   */
 final class ExactDynamicCounter(val pattern: Pattern) extends Serializable {
   val adj = new Adjacency
@@ -24,7 +25,7 @@ final class ExactDynamicCounter(val pattern: Pattern) extends Serializable {
       c += pattern.countInstances(adj, ev.u, ev.v)
       adj.add(ev.u, ev.v)
     } else {
-      // Enumeration never uses (u,v) itself, so count while still present.
+      // countInstances never uses (u,v) itself, so count while still present.
       c -= pattern.countInstances(adj, ev.u, ev.v)
       adj.remove(ev.u, ev.v)
     }

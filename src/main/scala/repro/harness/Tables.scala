@@ -24,8 +24,6 @@ object Tables {
   /** The categories with a real-graph counterpart in the paper's Table I. */
   val testCategories: Seq[String] = Seq("cit", "com", "soc", "web")
 
-  private def streamSeed(category: String): Long = 1000L + category.hashCode
-
   /** Build the evaluation stream + ground truth for one dataset.
     *
     * Under massive deletion, a wipe landing in the stream's last few percent
@@ -60,6 +58,22 @@ object Tables {
     best
   }
 
+  /** One evaluation dataset: the test graph of `category` at `nEdges`, its
+    * sample budget, and its stream and truth under `scenario`. Built afresh
+    * on each call, with no cache, so no stream outlives its table.
+    */
+  private def dataset(
+      category: String,
+      scenario: Scenario,
+      pattern: Pattern,
+      nEdges: Int,
+      sampleRatio: Double = BenchConfig.sampleRatio,
+  ): (Int, Array[repro.core.EdgeEvent], TrialRunner.TruthSeries) = {
+    val edges = Datasets.test(category, nEdges)
+    val (stream, truth) = buildStream(edges, scenario, pattern, 1000L + category.hashCode)
+    (BenchConfig.mFor(edges.length, sampleRatio), stream, truth)
+  }
+
   /** Evaluate `algs` on one dataset under `scenario`; mean over trials. */
   def evaluateDataset(
       spark: SparkSession,
@@ -71,9 +85,7 @@ object Tables {
       agg: TemporalAgg = TemporalAgg.Max,
       sampleRatio: Double = BenchConfig.sampleRatio,
   ): MetricRow = {
-    val edges = Datasets.test(category, nEdges)
-    val m = BenchConfig.mFor(edges.length, sampleRatio)
-    val (stream, truth) = buildStream(edges, scenario, pattern, streamSeed(category))
+    val (m, stream, truth) = dataset(category, scenario, pattern, nEdges, sampleRatio)
     val cells = algs.map { alg =>
       val policy =
         if (alg == "WSD-L") PolicyStore.trained(category, scenario, pattern, agg).policy else null
@@ -134,9 +146,7 @@ object Tables {
   def transferTable(spark: SparkSession, scenario: Scenario, nEdges: Int): Seq[(String, Seq[(String, Double)])] = {
     val sources = Datasets.categories
     testCategories.map { testCat =>
-      val edges = Datasets.test(testCat, nEdges)
-      val m = BenchConfig.mFor(edges.length)
-      val (stream, truth) = buildStream(edges, scenario, Triangle, streamSeed(testCat))
+      val (m, stream, truth) = dataset(testCat, scenario, Triangle, nEdges)
       val cols = sources.map { src =>
         val policy = PolicyStore.trained(src, scenario, Triangle).policy
         val rs = ParallelTrials.run(spark, BenchConfig.trials) { i =>
@@ -156,9 +166,7 @@ object Tables {
   /** Ablation (Table XIII): WSD-L(Max) vs WSD-L(Avg) vs WSD-H; triangle ARE. */
   def ablationTable(spark: SparkSession, scenario: Scenario, nEdges: Int): Seq[(String, Seq[(String, Double)])] = {
     testCategories.map { cat =>
-      val edges = Datasets.test(cat, nEdges)
-      val m = BenchConfig.mFor(edges.length)
-      val (stream, truth) = buildStream(edges, scenario, Triangle, streamSeed(cat))
+      val (m, stream, truth) = dataset(cat, scenario, Triangle, nEdges)
       def are(alg: String, agg: TemporalAgg): Double = {
         val policy =
           if (alg == "WSD-L") PolicyStore.trained(cat, scenario, Triangle, agg).policy else null
