@@ -26,7 +26,6 @@ final class RPSampler(val capacity: Int, rng: Rng) extends Serializable {
   def size: Int = keys.length
   def uncompensated: Long = nb + ng
   def contains(key: Long): Boolean = idx.contains(key)
-  def sampledKeys: Iterator[Long] = keys.iterator
 
   /** Process an insertion; `population` is the live-edge count *including*
     * the new edge. The sampler keeps only membership: the outcome says

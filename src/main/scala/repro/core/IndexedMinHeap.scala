@@ -55,12 +55,8 @@ final class IndexedMinHeap(initialCapacity: Int = 16) extends Serializable {
       case None    => false
     }
 
-  /** All entries, in the key map's iteration order. */
+  /** Every sampled edge, in the key map's iteration order. */
   def values: Iterator[Entry] = pos.valuesIterator
-
-  /** All (key, rank) pairs in heap order (internal order, not sorted). */
-  def entries: Iterator[(Long, Double)] =
-    Iterator.tabulate(n)(i => (heap(i).key, heap(i).rank))
 
   private def place(e: Entry, i: Int): Unit = { heap(i) = e; e.index = i }
 

@@ -30,13 +30,3 @@ final class ExactDynamicCounter(val pattern: Pattern) extends Serializable {
       adj.remove(ev.u, ev.v)
     }
 }
-
-object ExactDynamicCounter {
-
-  /** Exact count of a static edge set (convenience for tests). */
-  def staticCount(pattern: Pattern, edges: Iterable[(Int, Int)]): Long = {
-    val cnt = new ExactDynamicCounter(pattern)
-    edges.foreach { case (u, v) => cnt.process(EdgeEvent(insert = true, u, v)) }
-    cnt.count
-  }
-}

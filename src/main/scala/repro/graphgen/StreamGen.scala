@@ -4,16 +4,15 @@ import scala.collection.mutable
 import repro.core.{Edge, EdgeEvent, Rng}
 
 /** Builders that turn an ordered edge list into a fully dynamic stream,
-  * following Section V-A exactly:
+  * following Section V-A exactly. Edges are inserted in the list's order.
   *
-  *  - **massive deletion**: edges inserted in order; after each insertion,
-  *    with probability `α` a massive deletion event fires in which every
-  *    currently-live edge is deleted independently with probability `β_m`
-  *    (deletions emitted in random order);
+  *  - **massive deletion**: after each insertion, with probability `α` a
+  *    massive deletion event fires in which every currently-live edge is
+  *    deleted independently with probability `β_m` (deletions emitted in
+  *    random order);
   *  - **light deletion**: every edge is deleted with probability `β_l` at a
   *    uniformly random position after its insertion;
-  *  - **orderings**: natural (generation order), UAR (uniform permutation)
-  *    and RBFS (random-start breadth-first exploration).
+  *  - **insertion-only**: every edge inserted, none deleted.
   *
   * All streams are *feasible* by construction (insert only absent edges,
   * delete only present ones) — asserted in tests.
@@ -57,47 +56,6 @@ object StreamGen {
       i += 1
     }
     slots.sortBy(_._1).map(_._2).toArray
-  }
-
-  /** Uniform-at-random permutation of the edge order. */
-  def uar(edges: Array[Long], seed: Long): Array[Long] = {
-    val out = edges.clone()
-    val rng = new Rng(seed)
-    var i = out.length - 1
-    while (i > 0) { val j = rng.nextInt(i + 1); val t = out(i); out(i) = out(j); out(j) = t; i -= 1 }
-    out
-  }
-
-  /** Random-BFS ordering: edges appear as a BFS from a random vertex
-    * discovers them (tree edges on discovery, cross edges when the second
-    * endpoint is dequeued), restarting per component.
-    */
-  def rbfs(edges: Array[Long], seed: Long): Array[Long] = {
-    val rng = new Rng(seed)
-    val adj = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-    edges.foreach { k =>
-      adj.getOrElseUpdate(Edge.u(k), mutable.ArrayBuffer.empty) += Edge.v(k)
-      adj.getOrElseUpdate(Edge.v(k), mutable.ArrayBuffer.empty) += Edge.u(k)
-    }
-    val vertices = uar(adj.keys.map(_.toLong).toArray, rng.nextLong()).map(_.toInt)
-    val visited = mutable.HashSet.empty[Int]
-    val emitted = mutable.HashSet.empty[Long]
-    val out = mutable.ArrayBuffer.empty[Long]
-    vertices.foreach { start =>
-      if (!visited.contains(start)) {
-        val queue = mutable.Queue(start)
-        visited += start
-        while (queue.nonEmpty) {
-          val u = queue.dequeue()
-          adj(u).foreach { v =>
-            val key = Edge.key(u, v)
-            if (emitted.add(key)) out += key
-            if (!visited.contains(v)) { visited += v; queue.enqueue(v) }
-          }
-        }
-      }
-    }
-    out.toArray
   }
 
   private def shuffleInPlace(buf: mutable.ArrayBuffer[Long], rng: Rng): Unit = {

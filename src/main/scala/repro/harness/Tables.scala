@@ -2,7 +2,7 @@ package repro.harness
 
 import java.nio.file.{Files, Paths, StandardOpenOption}
 import org.apache.spark.sql.SparkSession
-import repro.core.{Pattern, TemporalAgg, Triangle}
+import repro.core.{EdgeEvent, Pattern, SubgraphCounter, TemporalAgg, Triangle}
 import repro.graphgen.{Datasets, Scenario}
 
 /** Shared builders for every evaluation table. `TableSpec.all` declares the
@@ -41,9 +41,9 @@ object Tables {
       scenario: Scenario,
       pattern: Pattern,
       baseSeed: Long,
-  ): (Array[repro.core.EdgeEvent], TrialRunner.TruthSeries) = {
+  ): (Array[EdgeEvent], TrialRunner.TruthSeries) = {
     val mustDelete = scenario.isInstanceOf[Scenario.Massive]
-    var best: (Array[repro.core.EdgeEvent], TrialRunner.TruthSeries) = null
+    var best: (Array[EdgeEvent], TrialRunner.TruthSeries) = null
     var attempt = 0
     while (attempt < 5) {
       val stream = scenario.build(edges, baseSeed + attempt)
@@ -68,10 +68,19 @@ object Tables {
       pattern: Pattern,
       nEdges: Int,
       sampleRatio: Double = BenchConfig.sampleRatio,
-  ): (Int, Array[repro.core.EdgeEvent], TrialRunner.TruthSeries) = {
+  ): (Int, Array[EdgeEvent], TrialRunner.TruthSeries) = {
     val edges = Datasets.test(category, nEdges)
     val (stream, truth) = buildStream(edges, scenario, pattern, 1000L + category.hashCode)
     (BenchConfig.mFor(edges.length, sampleRatio), stream, truth)
+  }
+
+  /** Run `BenchConfig.trials` trials of `mk(trial)` on one stream as Spark
+    * tasks; the cell is the mean of each metric over the trials. */
+  private def trialMean(spark: SparkSession, stream: Array[EdgeEvent], truth: TrialRunner.TruthSeries)(
+      mk: Int => SubgraphCounter): Cell = {
+    val rs = ParallelTrials.run(spark, BenchConfig.trials)(i => TrialRunner.run(stream, mk(i), truth))
+    val n = rs.size.toDouble
+    Cell(rs.map(_.are).sum / n, rs.map(_.mare).sum / n, rs.map(_.seconds).sum / n)
   }
 
   /** Evaluate `algs` on one dataset under `scenario`; mean over trials. */
@@ -89,12 +98,9 @@ object Tables {
     val cells = algs.map { alg =>
       val policy =
         if (alg == "WSD-L") PolicyStore.trained(category, scenario, pattern, agg).policy else null
-      val rs = ParallelTrials.run(spark, BenchConfig.trials) { i =>
-        val counter = Algorithms.make(alg, pattern, m, seed = 1_000_003L * (i + 1) + alg.hashCode, policy, agg)
-        TrialRunner.run(stream, counter, truth)
+      alg -> trialMean(spark, stream, truth) { i =>
+        Algorithms.make(alg, pattern, m, seed = 1_000_003L * (i + 1) + alg.hashCode, policy, agg)
       }
-      val n = rs.size.toDouble
-      alg -> Cell(rs.map(_.are).sum / n, rs.map(_.mare).sum / n, rs.map(_.seconds).sum / n)
     }
     MetricRow(Datasets.testName(category), stream.length, cells)
   }
@@ -149,16 +155,10 @@ object Tables {
       val (m, stream, truth) = dataset(testCat, scenario, Triangle, nEdges)
       val cols = sources.map { src =>
         val policy = PolicyStore.trained(src, scenario, Triangle).policy
-        val rs = ParallelTrials.run(spark, BenchConfig.trials) { i =>
-          TrialRunner.run(stream, Algorithms.make("WSD-L", Triangle, m, 7L * (i + 1) + src.hashCode, policy), truth)
-        }
-        Datasets.trainName(src) -> rs.map(_.are).sum / rs.size
-      } :+ {
-        val rs = ParallelTrials.run(spark, BenchConfig.trials) { i =>
-          TrialRunner.run(stream, Algorithms.make("WSD-H", Triangle, m, 13L * (i + 1)), truth)
-        }
-        "WSD-H" -> rs.map(_.are).sum / rs.size
-      }
+        Datasets.trainName(src) -> trialMean(spark, stream, truth) { i =>
+          Algorithms.make("WSD-L", Triangle, m, 7L * (i + 1) + src.hashCode, policy)
+        }.are
+      } :+ ("WSD-H" -> trialMean(spark, stream, truth)(i => Algorithms.make("WSD-H", Triangle, m, 13L * (i + 1))).are)
       Datasets.testName(testCat) -> cols
     }
   }
@@ -170,10 +170,9 @@ object Tables {
       def are(alg: String, agg: TemporalAgg): Double = {
         val policy =
           if (alg == "WSD-L") PolicyStore.trained(cat, scenario, Triangle, agg).policy else null
-        val rs = ParallelTrials.run(spark, BenchConfig.trials) { i =>
-          TrialRunner.run(stream, Algorithms.make(alg, Triangle, m, 17L * (i + 1) + agg.label.hashCode, policy, agg), truth)
-        }
-        rs.map(_.are).sum / rs.size
+        trialMean(spark, stream, truth) { i =>
+          Algorithms.make(alg, Triangle, m, 17L * (i + 1) + agg.label.hashCode, policy, agg)
+        }.are
       }
       Datasets.testName(cat) -> Seq(
         "WSD-L (Max)" -> are("WSD-L", TemporalAgg.Max),

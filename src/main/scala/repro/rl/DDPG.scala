@@ -37,7 +37,6 @@ final class DDPG(
 
   private var trainSteps = 0L
   def trainedSteps: Long = trainSteps
-  def replaySize: Int = replay.size
 
   /** Deterministic policy action for a raw state. */
   def act(state: Array[Double]): Double = actor.forward(stateStd.normalize(state))

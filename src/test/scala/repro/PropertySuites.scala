@@ -29,16 +29,6 @@ object StreamGenProps extends Properties("StreamGen") {
     Prop.forAll(graphGen, Gen.chooseNum(0.0, 1.0), Gen.chooseNum(1L, 9999L)) { (g, beta, seed) =>
       feasible(StreamGen.massive(g, alpha = 0.05, betaM = beta, seed = seed))
     }
-
-  property("uar preserves the edge multiset") =
-    Prop.forAll(graphGen, Gen.chooseNum(1L, 9999L)) { (g, seed) =>
-      StreamGen.uar(g, seed).sorted.toSeq == g.sorted.toSeq
-    }
-
-  property("rbfs preserves the edge multiset") =
-    Prop.forAll(graphGen, Gen.chooseNum(1L, 9999L)) { (g, seed) =>
-      StreamGen.rbfs(g, seed).sorted.toSeq == g.sorted.toSeq
-    }
 }
 
 /** WSD invariants under arbitrary feasible dynamics. */

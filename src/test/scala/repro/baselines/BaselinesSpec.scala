@@ -1,5 +1,6 @@
 package repro.baselines
 
+import scala.collection.mutable
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
 import repro.core.{Adjacency, Edge, EdgeEvent, Pattern, Rng, SubgraphCounter, Triangle, Wedge}
@@ -12,18 +13,20 @@ class RPSamplerSpec extends AnyFunSuite {
     val rng = new Rng(1)
     val rp = new RPSampler(20, rng)
     val adj = new Adjacency
+    val keys = mutable.HashSet.empty[Long] // the sample, from the outcomes
     val events = TestUtil.randomEvents(nVertices = 25, steps = 2000, seed = 1, deleteBias = 0.3)
     var n = 0L
     events.foreach { ev =>
       if (ev.insert) {
         n += 1
         val out = rp.insert(ev.u, ev.v, n)
-        if (out.hasEviction) adj.remove(Edge.u(out.evicted), Edge.v(out.evicted))
-        if (out.added) adj.add(ev.u, ev.v)
-      } else { if (rp.delete(ev.u, ev.v)) adj.remove(ev.u, ev.v); n -= 1 }
+        if (out.hasEviction) { adj.remove(Edge.u(out.evicted), Edge.v(out.evicted)); keys -= out.evicted }
+        if (out.added) { adj.add(ev.u, ev.v); keys += ev.key }
+      } else { if (rp.delete(ev.u, ev.v)) { adj.remove(ev.u, ev.v); keys -= ev.key }; n -= 1 }
       assert(rp.size <= 20)
       assert(adj.edgeCount == rp.size)
-      assert(rp.sampledKeys.forall(k => adj.contains(Edge.u(k), Edge.v(k))))
+      assert(keys.size == rp.size && keys.forall(rp.contains))
+      assert(keys.forall(k => adj.contains(Edge.u(k), Edge.v(k))))
     }
   }
 
@@ -57,7 +60,7 @@ class RPSamplerSpec extends AnyFunSuite {
     // insert 30, delete 10 specific ones, insert 10 more; all 30 live edges
     // must have (approximately) equal inclusion probability
     val trials = 6000
-    val hits = scala.collection.mutable.HashMap.empty[Long, Int].withDefaultValue(0)
+    val hits = mutable.HashMap.empty[Long, Int].withDefaultValue(0)
     val live = (0 until 20).map(i => Edge.key(100, i + 1)) ++ (0 until 10).map(i => Edge.key(200, i + 1))
     (1 to trials).foreach { t =>
       val rp = new RPSampler(8, new Rng(t))
@@ -149,6 +152,21 @@ class BaselineCountersSpec extends AnyFunSuite {
     events.foreach(wrs.process)
     assert(wrs.waitingRoomSize == 10) // λ·M
     assert(wrs.reservoirSize <= 30)
+  }
+
+  // An edge deleted from the waiting room and inserted again is one of the
+  // λ·M most recent edges, so it must stay in the room. With every closing
+  // edge in the room each instance counts with p = 1 and the estimate is
+  // exact: wedges (0,1)-(0,2), (0,1)-(0,3), (0,2)-(0,3) and (0,1)-(1,5).
+  test("WRS keeps a re-inserted edge in the waiting room") {
+    val filler = (0 until 40).map(i => EdgeEvent(insert = true, 100 + 2 * i, 101 + 2 * i))
+    val tail = Seq((true, 0, 1), (true, 0, 2), (false, 0, 1), (true, 0, 1), (true, 0, 3), (true, 1, 5))
+      .map { case (ins, u, v) => EdgeEvent(ins, u, v) }
+    for (seed <- 1L to 5L) {
+      val wrs = new WRS(Wedge, M = 10, seed, lambda = 0.2) // waiting room of 2
+      (filler ++ tail).foreach(wrs.process)
+      assert(wrs.estimate == 4.0, s"seed $seed")
+    }
   }
 
   // Fixed-seed checkpoints of (estimate, sampleSize, waitingRoomSize,

@@ -30,7 +30,7 @@ class WSDSpec extends AnyFunSuite {
     events.foreach { ev =>
       wsd.process(ev)
       assert(wsd.tauQ <= wsd.tauP + 1e-12, s"tauQ=${wsd.tauQ} > tauP=${wsd.tauP}")
-      wsd.heap.entries.foreach { case (_, r) => assert(r >= wsd.tauQ - 1e-12) }
+      wsd.heap.values.foreach(e => assert(e.rank >= wsd.tauQ - 1e-12))
     }
   }
 

@@ -132,26 +132,6 @@ class StreamGenSpec extends AnyFunSuite {
     assertFeasible(s)
   }
 
-  test("uar is a permutation") {
-    val p = StreamGen.uar(edges, 5)
-    assert(p.sorted.toSeq == edges.sorted.toSeq)
-    assert(p.toSeq != edges.toSeq)
-  }
-
-  test("rbfs is a permutation of the edges") {
-    val p = StreamGen.rbfs(edges, 5)
-    assert(p.sorted.toSeq == edges.sorted.toSeq)
-  }
-
-  test("rbfs starts from a single vertex's edges (on a connected graph)") {
-    val conn = Generators.barabasiAlbert(200, 3, 2) // BA graphs are connected
-    val p = StreamGen.rbfs(conn, 7)
-    val first = p.head
-    // the first few edges share the start vertex
-    val start = Seq(Edge.u(first), Edge.v(first))
-    assert(start.exists(v => Edge.u(p(1)) == v || Edge.v(p(1)) == v))
-  }
-
   test("scenario builders match StreamGen behaviour") {
     val m = Scenario.Massive(alphaEvents = 5.0, beta = 0.8).build(edges, 3)
     assertFeasible(m)
